@@ -61,6 +61,35 @@ func TestShardedSearchAllocs(t *testing.T) {
 	}
 }
 
+// allocBudgetBoosted is the steady-state allocation ceiling for the same
+// query through the boosted single-query kernel (SearchBoostedSet with
+// a trivial booster) on one shard: the Search allocations plus the
+// per-call shard bookkeeping (per-shard hit, plan-failure and scratch
+// slots, the selected-shard list) and the merge's cursor and output
+// slices. Measured floor is 17.
+const allocBudgetBoosted = 17
+
+func TestBoostedSearchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated by race-detector instrumentation")
+	}
+	ix := benchTopKIndex(8000, 1)
+	scorer := BM25{B: 0.3}
+	const query = "t001 t005 t150"
+	all := &suffixBooster{ix: ix} // the empty suffix counts everything
+	search := func() {
+		if _, ok := ix.SearchBoostedSet(scorer, query, 10, all, 1, nil, ShardSet{}); !ok {
+			t.Fatal("boosted search found no pruning plan")
+		}
+	}
+	for i := 0; i < 4; i++ {
+		search()
+	}
+	if got := testing.AllocsPerRun(50, search); got > allocBudgetBoosted {
+		t.Errorf("boosted pruned search allocates %.1f objects/op, budget %d", got, allocBudgetBoosted)
+	}
+}
+
 // BenchmarkTopKAllocs is the benchcheck allocation gate's input: run
 // with -benchmem, its allocs/op metric is floored by
 // cmd/benchcheck -allocs in make bench-regression.

@@ -71,38 +71,15 @@ type BatchQuery struct {
 	K int
 	// Ceil, when positive, lets the pass skip exact final-score
 	// computation for documents provably below the query's current
-	// K-th threshold: it must dominate Final/irScore for every counted
-	// document except those listed in Exempt (up to the usual few-ulps
-	// float slack, which pruneSlack absorbs). Ceil <= 0 disables the
-	// skip — every match is scored exactly.
+	// K-th threshold: it must dominate Booster.Final/irScore for every
+	// counted document except those listed in Exempt (up to the usual
+	// few-ulps float slack, which pruneSlack absorbs). Ceil <= 0
+	// disables the skip — every match is scored exactly.
 	Ceil float64
 	// Exempt lists global doc ids whose final score may exceed
 	// irScore*Ceil (the engine's anchor-boosted instances); they are
 	// always scored exactly.
 	Exempt []int
-}
-
-// MultiBooster folds caller context into the multi-query pass. The
-// driver calls Prepare once per candidate document — which also settles
-// the per-query counting (filter) decision for the whole batch in one
-// bitmask — and Final only for candidates that could make the query's
-// top K. Implementations must be safe for concurrent use: shards run in
-// parallel.
-type MultiBooster interface {
-	// Prepare resolves a candidate document by global id and name,
-	// returning an opaque handle passed back to Final, plus the
-	// counting decision for the whole batch at once: counts bit j
-	// reports whether the document counts for query base+j (the
-	// caller's per-query filter) — one call replaces a per-(query,
-	// document) filter callback. base is always a multiple of 64 (the
-	// driver's group size). ok=false drops the document for every
-	// query in the batch.
-	Prepare(doc int, name string, base int) (handle any, counts uint64, ok bool)
-	// Final maps one query's exact IR score for the document (global id
-	// doc) to its final (ranking) score. It must be monotone
-	// non-decreasing in irScore for a fixed document and satisfy the
-	// Ceil contract above.
-	Final(handle any, q, doc int, irScore float64) float64
 }
 
 // BatchHits is one query's result from a multi-query pass: the retained
@@ -115,29 +92,15 @@ type BatchHits struct {
 }
 
 // MultiSearchSet answers every query of the batch in one pass over the
-// posting lists of the shards the set selects. ok is false when the
-// scorer cannot build a pruning plan for some (query, shard) pair —
-// the caller falls back to serial execution, which is always valid.
-// Hit docs carry global ids.
-func (s *ShardedIndex) MultiSearchSet(scorer Scorer, queries []BatchQuery, booster MultiBooster, set ShardSet) ([]BatchHits, bool) {
+// posting lists of the shards the set selects. The booster sees the
+// batch's own query numbering: query q of queries is query q in
+// Counts and Final. ok is false when the scorer cannot build a pruning
+// plan for some (query, shard) pair — the caller falls back to serial
+// execution, which is always valid. Hit docs carry global ids.
+func (s *ShardedIndex) MultiSearchSet(scorer Scorer, queries []BatchQuery, booster Booster, set ShardSet) ([]BatchHits, bool) {
 	ps, prunable := scorer.(prunedScorer)
 	if !prunable {
 		return nil, false
-	}
-	if len(queries) > multiGroupSize {
-		out := make([]BatchHits, 0, len(queries))
-		for start := 0; start < len(queries); start += multiGroupSize {
-			end := start + multiGroupSize
-			if end > len(queries) {
-				end = len(queries)
-			}
-			group, ok := s.MultiSearchSet(scorer, queries[start:end], &offsetBooster{b: booster, off: start}, set)
-			if !ok {
-				return nil, false
-			}
-			out = append(out, group...)
-		}
-		return out, true
 	}
 	var selected []int
 	for i := range s.shards {
@@ -145,10 +108,27 @@ func (s *ShardedIndex) MultiSearchSet(scorer Scorer, queries []BatchQuery, boost
 			selected = append(selected, i)
 		}
 	}
+	// Larger batches run as successive groups of multiGroupSize queries,
+	// each numbered from its first query's index qbase.
+	out := make([]BatchHits, 0, len(queries))
+	for qbase := 0; qbase < len(queries); qbase += multiGroupSize {
+		group, ok := s.multiSearchGroup(ps, queries[qbase:min(qbase+multiGroupSize, len(queries))], qbase, booster, selected)
+		if !ok {
+			return nil, false
+		}
+		out = append(out, group...)
+	}
+	return out, true
+}
+
+// multiSearchGroup runs one group of at most multiGroupSize queries —
+// queries qbase.. of the batch — over the selected shards and merges
+// the per-shard rankings.
+func (s *ShardedIndex) multiSearchGroup(ps prunedScorer, queries []BatchQuery, qbase int, booster Booster, selected []int) ([]BatchHits, bool) {
 	perShard := make([][]BatchHits, len(s.shards))
 	planFailed := make([]bool, len(s.shards))
 	run := func(i int) {
-		res, ok := s.multiShardPass(ps, queries, booster, i)
+		res, ok := s.multiShardPass(ps, queries, qbase, booster, i)
 		if !ok {
 			planFailed[i] = true
 			return
@@ -198,20 +178,6 @@ func (s *ShardedIndex) MultiSearchSet(scorer Scorer, queries []BatchQuery, boost
 	return out, true
 }
 
-// offsetBooster shifts query indices for grouped oversize batches, so
-// the caller's booster always sees its own numbering.
-type offsetBooster struct {
-	b   MultiBooster
-	off int
-}
-
-func (o *offsetBooster) Prepare(doc int, name string, base int) (any, uint64, bool) {
-	return o.b.Prepare(doc, name, base+o.off)
-}
-func (o *offsetBooster) Final(handle any, q, doc int, irScore float64) float64 {
-	return o.b.Final(handle, q+o.off, doc, irScore)
-}
-
 // multiSub is one query's subscription to a union term: the plan term
 // supplies the scale, and the query index (with its precomputed match
 // bit) routes the contribution.
@@ -232,9 +198,10 @@ type multiTerm struct {
 	subs   []multiSub
 }
 
-// multiShardPass runs the one-pass scan over a single shard. Results
-// carry local doc ids remapped to global before return.
-func (s *ShardedIndex) multiShardPass(ps prunedScorer, queries []BatchQuery, booster MultiBooster, si int) ([]BatchHits, bool) {
+// multiShardPass runs the one-pass scan over a single shard for one
+// group (queries qbase..). Results carry local doc ids remapped to
+// global before return.
+func (s *ShardedIndex) multiShardPass(ps prunedScorer, queries []BatchQuery, qbase int, booster Booster, si int) ([]BatchHits, bool) {
 	shard := s.shards[si]
 	plans := make([]scorePlan, len(queries))
 	for q := range queries {
@@ -374,10 +341,7 @@ func (s *ShardedIndex) multiShardPass(ps prunedScorer, queries []BatchQuery, boo
 			g := s.globalOf[si][d]
 			dl := shard.docLen[d]
 			row := raw[off*multiGroupSize : off*multiGroupSize+multiGroupSize : off*multiGroupSize+multiGroupSize]
-			handle, counts, ok := booster.Prepare(g, shard.names[d], 0)
-			if !ok {
-				counts = 0
-			}
+			counts := booster.Counts(g, qbase)
 			for m != 0 {
 				q := bits.TrailingZeros64(m)
 				m &= m - 1
@@ -401,10 +365,10 @@ func (s *ShardedIndex) multiShardPass(ps prunedScorer, queries []BatchQuery, boo
 						inflate(irScore*ceils[q]) < thetas[q] && !containsSorted(exempt[q], d) {
 						continue
 					}
-					topk.offer(FinalHit{Doc: d, Name: shard.names[d], Score: booster.Final(handle, q, g, irScore), IRScore: irScore})
+					topk.offer(FinalHit{Doc: d, Name: shard.names[d], Score: booster.Final(qbase+q, g, irScore), IRScore: irScore})
 					thetas[q], fulls[q] = topk.threshold()
 				} else {
-					all[q] = append(all[q], FinalHit{Doc: d, Name: shard.names[d], Score: booster.Final(handle, q, g, irScore), IRScore: irScore})
+					all[q] = append(all[q], FinalHit{Doc: d, Name: shard.names[d], Score: booster.Final(qbase+q, g, irScore), IRScore: irScore})
 				}
 			}
 		}

@@ -357,22 +357,19 @@ func (s *ShardedIndex) shardHits(i int, scorer Scorer, terms []string, k int) []
 	return hits
 }
 
-// SearchBoosted retrieves the top k documents ranked by FINAL score:
-// each candidate's exact IR score is mapped through booster.Final, with
-// booster.Include filtering documents out of retrieval entirely and
-// ceil bounding every document's final/IR score ratio (see Booster).
-// Shards run concurrently and merge on (final score desc, name asc).
-// ok is false when the scorer cannot build a pruning plan (caller falls
-// back to exhaustive scoring); k must be positive.
-func (s *ShardedIndex) SearchBoosted(scorer Scorer, query string, k int, booster Booster, ceil float64) ([]FinalHit, bool) {
-	return s.SearchBoostedSet(scorer, query, k, booster, ceil, ShardSet{})
-}
-
-// SearchBoostedSet is SearchBoosted restricted to the shards the set
-// selects. Per-document final scores are identical to the full call
-// (shared statistics again), so a coordinator merging per-subset pages
-// under the same order reconstructs the full page exactly.
-func (s *ShardedIndex) SearchBoostedSet(scorer Scorer, query string, k int, booster Booster, ceil float64, set ShardSet) ([]FinalHit, bool) {
+// SearchBoostedSet retrieves the top k documents of the shards the set
+// selects (the zero set selects all), ranked by FINAL score: each
+// candidate's exact IR score is mapped through booster.Final (as query
+// 0), with documents booster.Counts does not count for query 0, and
+// the documents in skip (sorted global ids), filtered out of retrieval
+// entirely; ceil bounds every remaining document's final/IR score
+// ratio (see Booster). Shards run concurrently and merge on (final
+// score desc, name asc). Per-document final scores do not depend on
+// the set (statistics are shared), so a coordinator merging per-subset
+// pages under the same order reconstructs the full page exactly. ok is
+// false when the scorer cannot build a pruning plan (caller falls back
+// to exhaustive scoring); k must be positive.
+func (s *ShardedIndex) SearchBoostedSet(scorer Scorer, query string, k int, booster Booster, ceil float64, skip []int, set ShardSet) ([]FinalHit, bool) {
 	ps, prunable := scorer.(prunedScorer)
 	if !prunable || k <= 0 {
 		return nil, false
@@ -393,7 +390,7 @@ func (s *ShardedIndex) SearchBoostedSet(scorer Scorer, query string, k int, boos
 			planFailed[i] = true
 			return
 		}
-		hits := scoreTopKBoosted(shard, plan, k, booster, ceil, sc)
+		hits := scoreTopKBoosted(shard, plan, k, booster, ceil, skip, s.globalOf[i], sc)
 		for j := range hits {
 			hits[j].Doc = s.globalOf[i][hits[j].Doc]
 		}
@@ -465,22 +462,15 @@ func mergeFinalHits(lists [][]FinalHit, k int) []FinalHit {
 	return out
 }
 
-// ScoreNamed computes the exact IR scores of the named documents for
-// the query terms — bitwise identical to the corresponding entries of
-// an exhaustive Scorer.Score pass, at the cost of a few cursor seeks
-// instead of a full index scan. Names that are not indexed, or contain
-// no query term, map to absent entries (exactly the documents the
+// ScoreNamedSet computes the exact IR scores of the named documents
+// on the shards the set selects (the zero set selects all) — bitwise
+// identical to the corresponding entries of an exhaustive Scorer.Score
+// pass, at the cost of a few cursor seeks instead of a full index scan.
+// Names that are not indexed, live on excluded shards, or contain no
+// query term map to absent entries (exactly the documents the
 // exhaustive scorer would omit). ok is false when the scorer cannot
 // build a pruning plan on some shard; callers then fall back to
 // exhaustive scoring.
-func (s *ShardedIndex) ScoreNamed(scorer Scorer, terms []string, names []string) (map[string]float64, bool) {
-	return s.ScoreNamedSet(scorer, terms, names, ShardSet{})
-}
-
-// ScoreNamedSet is ScoreNamed restricted to the shards the set selects:
-// named documents living on excluded shards are simply absent from the
-// result map, exactly as if they contained no query term. Scores for
-// the documents that are scored are identical to the full call.
 func (s *ShardedIndex) ScoreNamedSet(scorer Scorer, terms []string, names []string, set ShardSet) (map[string]float64, bool) {
 	ps, prunable := scorer.(prunedScorer)
 	if !prunable {
@@ -528,20 +518,16 @@ func (s *ShardedIndex) ScoreNamedSet(scorer Scorer, terms []string, names []stri
 	return out, true
 }
 
-// CountCandidates returns the number of live documents containing at
-// least one of the query terms and passing the allow filter (nil allows
-// everything) — exactly the candidate set the exhaustive scorer would
-// score and a pruned search may legitimately never visit. It walks doc
-// ids only (no score math, no ranking), so callers can report exact
-// totals next to pruned top-k pages.
-func (s *ShardedIndex) CountCandidates(terms []string, allow func(name string) bool) int {
-	return s.CountCandidatesSet(terms, allow, ShardSet{})
-}
-
-// CountCandidatesSet is CountCandidates restricted to the shards the
-// set selects. Subsets of one Count-way division are disjoint and cover
-// the index, so the per-subset counts sum to the global count.
-func (s *ShardedIndex) CountCandidatesSet(terms []string, allow func(name string) bool, set ShardSet) int {
+// CountCandidates returns the number of live documents on the shards
+// the set selects (the zero set selects all) that contain at least one
+// of the query terms and that booster.Counts counts for query 0 (a nil
+// booster counts everything) — exactly the candidate set the
+// exhaustive scorer would score and a pruned search may legitimately
+// never visit. It walks doc ids only (no score math, no ranking), so
+// callers can report exact totals next to pruned top-k pages. Subsets
+// of one Count-way division are disjoint and cover the index, so the
+// per-subset counts sum to the global count.
+func (s *ShardedIndex) CountCandidates(terms []string, booster Booster, set ShardSet) int {
 	distinct := make(map[string]bool, len(terms))
 	for _, t := range terms {
 		distinct[t] = true
@@ -565,7 +551,7 @@ func (s *ShardedIndex) CountCandidatesSet(terms []string, allow func(name string
 			}
 		}
 		for local, hit := range seen {
-			if hit && (allow == nil || allow(shard.names[local])) {
+			if hit && (booster == nil || booster.Counts(s.globalOf[si][local], 0)&1 != 0) {
 				n++
 			}
 		}

@@ -289,19 +289,26 @@ func scoreDocsPlanned(ix *Index, plan scorePlan, locals []int, sc *searchScratch
 	return raw
 }
 
-// Booster lets a caller fold per-document score multipliers into pruned
-// retrieval, so the top k comes out ranked by FINAL score — essential
+// Booster folds caller context into boosted retrieval, keyed by global
+// document id, so the top k comes out ranked by FINAL score — essential
 // when multipliers differ enough that the IR top k and the final top k
-// diverge (the qunit engine's type-affinity and utility factors).
+// diverge (the qunit engine's type-affinity and utility factors). Both
+// scoring kernels call it the same way: the single-query kernel is a
+// batch of one (base 0, query 0). Implementations must be safe for
+// concurrent use: shards run in parallel.
 type Booster interface {
-	// Include reports whether the document participates in retrieval at
-	// all (false: filtered out, or handled exactly elsewhere).
-	Include(name string) bool
-	// Final maps a document's IR score to its final score. It must be
-	// monotone non-decreasing in irScore for fixed name, and satisfy
-	// Final(name, s) <= s*ceil (the ceiling passed alongside) up to the
-	// usual few-ulps float slack, which pruning's inflation absorbs.
-	Final(name string, irScore float64) float64
+	// Counts reports which of the queries base..base+63 count global
+	// document g (bit j: query base+j) — the caller's per-query filter,
+	// settled for up to 64 queries at once. base is always a multiple
+	// of 64. A document no query counts is never scored.
+	Counts(g, base int) uint64
+	// Final maps query q's exact IR score for global document g to its
+	// final (ranking) score. It must be monotone non-decreasing in
+	// irScore for fixed (q, g), and satisfy Final(q, g, s) <= s*ceil
+	// (the query's ceiling) for every document the kernel does not skip
+	// or exempt, up to the usual few-ulps float slack, which pruning's
+	// inflation absorbs.
+	Final(q, g int, irScore float64) float64
 }
 
 // FinalHit is one boosted-retrieval result: the final (boosted) score
@@ -318,7 +325,7 @@ type FinalHit struct {
 // scorer's full output and truncating to k. The result is a fresh
 // copy, so the caller may release the scratch immediately after.
 func scoreTopKPruned(ix *Index, plan scorePlan, k int, sc *searchScratch) []Hit {
-	fhits := scoreTopKBoosted(ix, plan, k, nil, 1, sc)
+	fhits := scoreTopKBoosted(ix, plan, k, nil, 1, nil, nil, sc)
 	hits := make([]Hit, len(fhits))
 	for i, fh := range fhits {
 		hits[i] = Hit{Doc: fh.Doc, Name: fh.Name, Score: fh.Score}
@@ -335,10 +342,12 @@ type termCursor struct {
 
 // scoreTopKBoosted is the MaxScore driver. With a nil booster it ranks
 // by raw IR score (ceil is ignored as 1); with a booster, candidates
-// are filtered by Include, scored exactly, mapped through Final, and
-// every pruning bound is stretched by ceil so it dominates any included
-// document's final score.
-func scoreTopKBoosted(ix *Index, plan scorePlan, k int, booster Booster, ceil float64, sc *searchScratch) []FinalHit {
+// are resolved to global ids through global (local id -> global id),
+// dropped when listed in skip (sorted global ids) or not counted by
+// booster.Counts, scored exactly, mapped through booster.Final as query
+// 0, and every pruning bound is stretched by ceil so it dominates any
+// remaining document's final score. Hit docs are local ids.
+func scoreTopKBoosted(ix *Index, plan scorePlan, k int, booster Booster, ceil float64, skip, global []int, sc *searchScratch) []FinalHit {
 	// stretch maps an IR-score bound to a final-score bound: identity
 	// for plain retrieval, ×ceil (with inflation absorbing the changed
 	// association) for boosted retrieval.
@@ -439,9 +448,12 @@ func scoreTopKBoosted(ix *Index, plan scorePlan, k int, booster Booster, ceil fl
 			break
 		}
 		frontier = cand + 1
-		name := ix.names[cand]
-		if booster != nil && !booster.Include(name) {
-			continue
+		g := -1
+		if booster != nil {
+			g = global[cand]
+			if containsSorted(skip, g) || booster.Counts(g, 0)&1 == 0 {
+				continue
+			}
 		}
 		dl := ix.docLen[cand]
 
@@ -489,9 +501,9 @@ func scoreTopKBoosted(ix *Index, plan scorePlan, k int, booster Booster, ceil fl
 		irScore := plan.finalize(raw, dl)
 		final := irScore
 		if booster != nil {
-			final = booster.Final(name, irScore)
+			final = booster.Final(0, g, irScore)
 		}
-		topk.offer(FinalHit{Doc: cand, Name: name, Score: final, IRScore: irScore})
+		topk.offer(FinalHit{Doc: cand, Name: ix.names[cand], Score: final, IRScore: irScore})
 		if th, ok := topk.threshold(); ok && (!full || th != theta) {
 			theta, full = th, true
 			repartition()

@@ -305,8 +305,25 @@ func TestPrunedFallbackTinyTFs(t *testing.T) {
 	}
 }
 
+// suffixBooster counts, for every query, the documents whose name ends
+// in suffix, and leaves IR scores unchanged.
+type suffixBooster struct {
+	ix     *ShardedIndex
+	suffix string
+}
+
+func (b suffixBooster) Counts(g, base int) uint64 {
+	if strings.HasSuffix(b.ix.Name(g), b.suffix) {
+		return ^uint64(0)
+	}
+	return 0
+}
+
+func (b suffixBooster) Final(q, g int, irScore float64) float64 { return irScore }
+
 // TestCountCandidates checks the candidate count equals the exhaustive
-// scorer's candidate set size, with and without a filter.
+// scorer's candidate set size, with and without a filter, and that the
+// counts of a shard division sum to the full count.
 func TestCountCandidates(t *testing.T) {
 	words := randomCorpusWords()
 	r := rand.New(rand.NewSource(11))
@@ -319,22 +336,29 @@ func TestCountCandidates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	filter := suffixBooster{ix: ix, suffix: "1"}
 	for q := 0; q < 20; q++ {
 		query := randomQuery(r, words)
 		terms := Tokenize(query)
 		oracle := ix.Search(Exhaustive{S: BM25{}}, query, 0)
-		if got := ix.CountCandidates(terms, nil); got != len(oracle) {
+		if got := ix.CountCandidates(terms, nil, ShardSet{}); got != len(oracle) {
 			t.Fatalf("q=%q: CountCandidates=%d, oracle candidates=%d", query, got, len(oracle))
 		}
-		allow := func(name string) bool { return strings.HasSuffix(name, "1") }
 		want := 0
 		for _, h := range oracle {
-			if allow(h.Name) {
+			if strings.HasSuffix(h.Name, filter.suffix) {
 				want++
 			}
 		}
-		if got := ix.CountCandidates(terms, allow); got != want {
+		if got := ix.CountCandidates(terms, filter, ShardSet{}); got != want {
 			t.Fatalf("q=%q filtered: CountCandidates=%d, want %d", query, got, want)
+		}
+		sum := 0
+		for i := 0; i < 2; i++ {
+			sum += ix.CountCandidates(terms, filter, ShardSet{Index: i, Count: 2})
+		}
+		if sum != want {
+			t.Fatalf("q=%q filtered: shard-subset counts sum to %d, want %d", query, sum, want)
 		}
 	}
 }

@@ -3,12 +3,9 @@ package search
 import (
 	"context"
 	"runtime"
-	"sort"
 	"sync"
 
-	"qunits/internal/core"
 	"qunits/internal/ir"
-	"qunits/internal/segment"
 )
 
 // Amortized batch execution: the whole batch is answered by ONE pass
@@ -110,19 +107,6 @@ func (e *Engine) serialBatch(ctx context.Context, reqs []Request, items []int, s
 	wg.Wait()
 }
 
-// batchQueryCtx is one item's resolved preamble: exactly the state
-// searchLocked computes before retrieval, plus the anchor-labeled
-// instances resolved to sorted global doc ids — the booster's boost
-// decision per (query, doc) is then an integer probe of a tiny slice
-// instead of Label() plus a map lookup per scored candidate.
-type batchQueryCtx struct {
-	allowed    map[string]bool
-	affinity   map[string]float64
-	anchors    map[string]bool
-	anchorDocs []int
-	sg         segment.Segmentation
-}
-
 // onePassBatch answers the given (validated, distinct) items through
 // the multi-query driver. It reports whether the items were fully
 // handled — false means the driver could not run and the caller must
@@ -139,8 +123,7 @@ func (e *Engine) onePassBatch(ctx context.Context, reqs []Request, items []int, 
 	// immediately (searchLocked would fail the same way before ever
 	// touching the index).
 	live := make([]int, 0, len(items))
-	qctx := make([]batchQueryCtx, 0, len(items))
-	queries := make([]ir.BatchQuery, 0, len(items))
+	qctx := make([]queryCtx, 0, len(items))
 	for _, i := range items {
 		req := reqs[i]
 		allowed, err := e.filterSet(req.Filter)
@@ -153,61 +136,32 @@ func (e *Engine) onePassBatch(ctx context.Context, reqs []Request, items []int, 
 		for _, ent := range sg.Entities() {
 			anchors[ent.Text] = true
 		}
-		// Anchor-labeled instances as global doc ids: an indexed
-		// instance satisfies anchors[inst.Label()] exactly when its doc
-		// id is in this set (byLabel and the index are maintained
-		// together under the write lock).
-		var anchorDocs []int
-		for label := range anchors {
-			for _, inst := range e.byLabel[label] {
-				if g, ok := e.index.ID(inst.ID()); ok {
-					anchorDocs = append(anchorDocs, g)
-				}
-			}
-		}
-		sort.Ints(anchorDocs)
-		qc := batchQueryCtx{
+		live = append(live, i)
+		qctx = append(qctx, queryCtx{
 			allowed:    allowed,
 			affinity:   e.typeAffinity(sg),
 			anchors:    anchors,
-			anchorDocs: anchorDocs,
+			anchorDocs: e.anchorDocs(anchors),
 			sg:         sg,
-		}
-		// Retain the top offset+k by final score — enough to slice the
-		// requested page bit-identically; k == 0 means the whole ranking.
-		retain := 0
-		if req.K > 0 {
-			retain = req.Offset + req.K
-		}
-		// Score-multiplier ceiling for MaxScore skipping inside the pass,
-		// the same bound prunedPage hands SearchBoostedSet: valid only
-		// when every multiplier is monotone non-decreasing and ≥ 0
-		// (canPrune's conditions). Anchor-labeled instances can exceed it
-		// by the anchor boost, so they ride along as ceiling-exempt; 0
-		// leaves the driver exhaustive for this item.
-		ceil := 0.0
-		if e.opts.TypeBoost >= 0 &&
-			e.opts.UtilityInfluence >= 0 && e.opts.UtilityInfluence <= 1 &&
-			e.opts.AnchorBoost >= 0 {
-			maxAff := 0.0
-			for _, a := range qc.affinity {
-				if a > maxAff {
-					maxAff = a
-				}
-			}
-			typeHi := 1 + e.opts.TypeBoost*maxAff
-			blendHi := 1 - e.opts.UtilityInfluence + e.opts.UtilityInfluence*e.maxUtility
-			ceil = typeHi * blendHi
-		}
-		live = append(live, i)
-		qctx = append(qctx, qc)
-		queries = append(queries, ir.BatchQuery{Terms: ir.Tokenize(req.Query), K: retain, Ceil: ceil, Exempt: anchorDocs})
+		})
 	}
 	if len(live) == 0 {
 		return true
 	}
-	booster := newBatchBooster(e, qctx)
-	hits, ok := e.index.MultiSearchSet(e.retrievalScorer(), queries, booster, set)
+	b := e.newBooster(qctx)
+	queries := make([]ir.BatchQuery, len(live))
+	for n, i := range live {
+		// Retain the top offset+k by final score — enough to slice the
+		// requested page bit-identically; k == 0 means the whole ranking.
+		// Anchor-labeled instances can exceed the booster's ceiling by
+		// the anchor boost, so they ride along as ceiling-exempt.
+		retain := 0
+		if reqs[i].K > 0 {
+			retain = reqs[i].Offset + reqs[i].K
+		}
+		queries[n] = ir.BatchQuery{Terms: ir.Tokenize(reqs[i].Query), K: retain, Ceil: b.ceil[n], Exempt: qctx[n].anchorDocs}
+	}
+	hits, ok := e.index.MultiSearchSet(e.retrievalScorer(), queries, b, set)
 	if !ok {
 		// Roll the filter-failed items back too? No: their errors are
 		// final and identical to serial; only the live items return to
@@ -219,7 +173,7 @@ func (e *Engine) onePassBatch(ctx context.Context, reqs []Request, items []int, 
 		req, qc, bh := reqs[i], qctx[n], hits[n]
 		results := make([]Result, 0, len(bh.Hits))
 		for _, h := range bh.Hits {
-			results = append(results, e.resultFor(e.instances[h.Name], h.IRScore, qc.affinity, qc.anchors))
+			results = append(results, e.resultFor(e.byDoc[h.Doc], h.IRScore, qc.affinity, qc.anchors))
 		}
 		resp := &Response{Total: bh.Total}
 		if req.Offset < len(results) {
@@ -237,104 +191,6 @@ func (e *Engine) onePassBatch(ctx context.Context, reqs []Request, items []int, 
 		out[i] = BatchResult{Response: resp}
 	}
 	return true
-}
-
-// batchBooster adapts the engine's per-item score context to
-// ir.MultiBooster. Final computes the score by the identical float
-// expression resultFor uses — same sub-expressions, same multiplication
-// order — with the anchor decision probed by doc id (see batchQueryCtx)
-// instead of by label, so the hot path never hashes a string beyond the
-// type-affinity lookup. The per-query filter decisions are precomputed
-// per catalog definition as bitmask words, so Prepare settles counting
-// for the whole batch with one pointer-map probe. Called concurrently
-// from shard goroutines; it only reads state the engine's read lock
-// protects (plus its own immutable tables).
-type batchBooster struct {
-	e     *Engine
-	byDoc []*core.Instance
-	ctxs  []batchQueryCtx
-	// maskByDef[def][w] bit j: query w*64+j counts documents of def.
-	maskByDef map[*core.Definition][]uint64
-	// tfByDef[def][q] is query q's precomputed type factor for
-	// documents of def: 1 + TypeBoost*affinity[def.Name] — the same
-	// expression resultFor evaluates, hoisted out of the per-candidate
-	// path.
-	tfByDef map[*core.Definition][]float64
-}
-
-func newBatchBooster(e *Engine, ctxs []batchQueryCtx) *batchBooster {
-	words := (len(ctxs) + 63) / 64
-	maskByDef := make(map[*core.Definition][]uint64, e.cat.Len())
-	tfByDef := make(map[*core.Definition][]float64, e.cat.Len())
-	for _, def := range e.cat.Definitions() {
-		m := make([]uint64, words)
-		tf := make([]float64, len(ctxs))
-		for q := range ctxs {
-			if ctxs[q].allowed == nil || ctxs[q].allowed[def.Name] {
-				m[q/64] |= 1 << uint(q%64)
-			}
-			tf[q] = 1 + e.opts.TypeBoost*ctxs[q].affinity[def.Name]
-		}
-		maskByDef[def] = m
-		tfByDef[def] = tf
-	}
-	return &batchBooster{e: e, byDoc: e.docInstances(), ctxs: ctxs, maskByDef: maskByDef, tfByDef: tfByDef}
-}
-
-// Prepare implements ir.MultiBooster.
-func (b *batchBooster) Prepare(doc int, name string, base int) (any, uint64, bool) {
-	if doc < 0 || doc >= len(b.byDoc) {
-		return nil, 0, false
-	}
-	inst := b.byDoc[doc]
-	if inst == nil {
-		return nil, 0, false
-	}
-	if m, ok := b.maskByDef[inst.Def]; ok {
-		return inst, m[base/64], true
-	}
-	// Definition not in the catalog table (cannot normally happen):
-	// answer the filters directly.
-	var counts uint64
-	for j := 0; j < 64 && base+j < len(b.ctxs); j++ {
-		qc := &b.ctxs[base+j]
-		if qc.allowed == nil || qc.allowed[inst.Def.Name] {
-			counts |= 1 << uint(j)
-		}
-	}
-	return inst, counts, true
-}
-
-// Final implements ir.MultiBooster.
-func (b *batchBooster) Final(handle any, q, doc int, irScore float64) float64 {
-	inst := handle.(*core.Instance)
-	qc := &b.ctxs[q]
-	var typeFactor float64
-	if tf, ok := b.tfByDef[inst.Def]; ok {
-		typeFactor = tf[q]
-	} else {
-		typeFactor = 1 + b.e.opts.TypeBoost*qc.affinity[inst.Def.Name]
-	}
-	blend := 1 - b.e.opts.UtilityInfluence + b.e.opts.UtilityInfluence*inst.Utility
-	boost := 1.0
-	if len(qc.anchorDocs) > 0 && containsDoc(qc.anchorDocs, doc) {
-		boost = 1 + b.e.opts.AnchorBoost
-	}
-	return irScore * typeFactor * blend * boost
-}
-
-// containsDoc reports whether a sorted doc-id slice contains d; anchor
-// sets are tiny, so a linear scan wins.
-func containsDoc(a []int, d int) bool {
-	for _, x := range a {
-		if x == d {
-			return true
-		}
-		if x > d {
-			return false
-		}
-	}
-	return false
 }
 
 // copyBatchResult returns a defensively-copied batch result: the

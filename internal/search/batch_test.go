@@ -43,6 +43,9 @@ func batchEngine(t *testing.T, shards int, scorer ir.Scorer, exhaustive bool) *E
 // invalid items, interleaved with feedback so the utility blend — and
 // with it the skip ceiling — keeps moving. Anchored entity queries
 // ("star wars" …) keep the anchor-exempt path under the ceiling hot.
+// A final oversize batch of more than 64 distinct items runs as several
+// query groups, so every group's queries reach the booster under the
+// batch's own numbering.
 func TestBatchSerialParityFuzz(t *testing.T) {
 	ctx := context.Background()
 	configs := []struct {
@@ -61,7 +64,31 @@ func TestBatchSerialParityFuzz(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/shards=%d", cfg.name, shards), func(t *testing.T) {
 				e := batchEngine(t, shards, cfg.scorer, cfg.exhaustive)
 				r := rand.New(rand.NewSource(int64(900 + shards)))
-				for round := 0; round < 25; round++ {
+				check := func(round int, reqs []Request) {
+					t.Helper()
+					batch := e.BatchSearch(ctx, reqs)
+					if len(batch) != len(reqs) {
+						t.Fatalf("round %d: %d outcomes for %d items", round, len(batch), len(reqs))
+					}
+					for i, req := range reqs {
+						want, wantErr := e.Search(ctx, req)
+						got := batch[i]
+						if (wantErr == nil) != (got.Err == nil) {
+							t.Fatalf("round %d item %d %+v: batch err %v, serial err %v", round, i, req, got.Err, wantErr)
+						}
+						if wantErr != nil {
+							if got.Err.Error() != wantErr.Error() {
+								t.Fatalf("round %d item %d: batch err %q, serial err %q", round, i, got.Err, wantErr)
+							}
+							continue
+						}
+						assertResponsesIdentical(t,
+							fmt.Sprintf("round=%d item=%d req=%+v", round, i, req),
+							want, got.Response)
+					}
+				}
+				const rounds = 25
+				for round := 0; round < rounds; round++ {
 					if round%5 == 4 {
 						// Shift a utility so the blend bound (and the skip
 						// ceiling derived from it) changes between rounds.
@@ -90,28 +117,21 @@ func TestBatchSerialParityFuzz(t *testing.T) {
 					if r.Intn(4) == 0 {
 						reqs = append(reqs, Request{Query: "star wars", K: -1}) // invalid: negative k
 					}
-
-					batch := e.BatchSearch(ctx, reqs)
-					if len(batch) != len(reqs) {
-						t.Fatalf("round %d: %d outcomes for %d items", round, len(batch), len(reqs))
+					check(round, reqs)
+				}
+				seen := map[string]bool{}
+				var reqs []Request
+				for len(reqs) < 2*64+7 {
+					req := randomRequest(r)
+					if r.Intn(4) == 0 {
+						req.K = 0
 					}
-					for i, req := range reqs {
-						want, wantErr := e.Search(ctx, req)
-						got := batch[i]
-						if (wantErr == nil) != (got.Err == nil) {
-							t.Fatalf("round %d item %d %+v: batch err %v, serial err %v", round, i, req, got.Err, wantErr)
-						}
-						if wantErr != nil {
-							if got.Err.Error() != wantErr.Error() {
-								t.Fatalf("round %d item %d: batch err %q, serial err %q", round, i, got.Err, wantErr)
-							}
-							continue
-						}
-						assertResponsesIdentical(t,
-							fmt.Sprintf("round=%d item=%d req=%+v", round, i, req),
-							want, got.Response)
+					if key := req.CacheKey(); !seen[key] {
+						seen[key] = true
+						reqs = append(reqs, req)
 					}
 				}
+				check(rounds, reqs)
 			})
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"qunits/internal/core"
 	"qunits/internal/derive"
 	"qunits/internal/imdb"
 )
@@ -38,11 +39,35 @@ var compactParityQueries = []string{
 	"nonsense zz yy",
 }
 
+// assertDocColumn checks the eager doc-id-keyed instance column against
+// the index and the instance map: every slot g holds exactly the
+// instance indexed under Name(g), nil for tombstones.
+func assertDocColumn(t *testing.T, label string, e *Engine) {
+	t.Helper()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if len(e.byDoc) != e.index.Slots() {
+		t.Fatalf("%s: byDoc has %d slots, index %d", label, len(e.byDoc), e.index.Slots())
+	}
+	id := func(inst *core.Instance) string {
+		if inst == nil {
+			return "<nil>"
+		}
+		return inst.ID()
+	}
+	for g, inst := range e.byDoc {
+		if want := e.instances[e.index.Name(g)]; inst != want {
+			t.Fatalf("%s: byDoc[%d] = %s, want %s", label, g, id(inst), id(want))
+		}
+	}
+}
+
 // TestEngineCompactParity is the engine-level compaction contract:
 // after a mutation history (adds, removes, feedback), Compact() must
 // leave every search response — pruned path and exhaustive oracle,
 // across k values and offsets — bitwise identical, while reclaiming
-// every tombstoned slot.
+// every tombstoned slot. The doc-id-keyed instance column must track
+// every step, a snapshot round trip included.
 func TestEngineCompactParity(t *testing.T) {
 	ctx := context.Background()
 	pruned := compactEngineWith(t, false)
@@ -65,6 +90,19 @@ func TestEngineCompactParity(t *testing.T) {
 	}
 	mutate(pruned)
 	mutate(oracle)
+	assertDocColumn(t, "after adds and removes", pruned)
+	st, err := pruned.DumpState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreEngine(pruned.Catalog().DB(), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.IndexStats().Tombstones == 0 {
+		t.Fatal("restored engine lost the tombstones")
+	}
+	assertDocColumn(t, "after a dump/restore round trip", restored)
 
 	type page struct {
 		q      string
@@ -100,6 +138,7 @@ func TestEngineCompactParity(t *testing.T) {
 	if st := pruned.IndexStats(); st.Tombstones != 0 || st.Slots != st.Live {
 		t.Fatalf("index not dense after compaction: %+v", st)
 	}
+	assertDocColumn(t, "after compaction", pruned)
 	if pruned.Compactions() != 1 || pruned.SlotsReclaimed() != int64(res.ReclaimedSlots) {
 		t.Fatalf("counters: %d passes, %d reclaimed", pruned.Compactions(), pruned.SlotsReclaimed())
 	}

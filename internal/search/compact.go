@@ -3,6 +3,8 @@ package search
 import (
 	"fmt"
 	"math"
+
+	"qunits/internal/core"
 )
 
 // Online compaction at the engine level: the copy-on-write epoch swap
@@ -76,6 +78,12 @@ func (e *Engine) Compact() (CompactionResult, error) {
 	if err != nil {
 		return CompactionResult{}, err
 	}
+	// The instance map's writers all hold indexMu, so it can be read
+	// here without the engine lock.
+	byDoc := make([]*core.Instance, compacted.Slots())
+	for g := range byDoc {
+		byDoc[g] = e.instances[compacted.Name(g)]
+	}
 	// Compaction is a logged mutation: it re-assigns documents to shards
 	// (live docs are re-added onto dense ids), which shard-subset scoring
 	// observes even though full-index searches cannot. Replicas must
@@ -89,8 +97,7 @@ func (e *Engine) Compact() (CompactionResult, error) {
 		}
 	}
 	e.mu.Lock()
-	e.index = compacted
-	e.docsVersion++
+	e.index, e.byDoc = compacted, byDoc
 	e.mu.Unlock()
 	e.slotsReclaimed.Add(int64(st.ReclaimedSlots))
 	return CompactionResult{

@@ -11,6 +11,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -114,7 +115,16 @@ type Engine struct {
 	instances map[string]*core.Instance            // by instance ID
 	byLabel   map[string]map[string]*core.Instance // label -> id -> instance
 	opts      Options
-	defTables map[string]map[string]bool // definition -> tables it covers
+	// byDoc is the doc-id-keyed instance column: byDoc[g] is the
+	// instance indexed at global doc id g, nil for a tombstoned slot.
+	// It is maintained eagerly under the write lock alongside the index
+	// (and swapped with it by Compact), so len(byDoc) == index.Slots().
+	byDoc []*core.Instance
+	// defs lists every definition an indexed instance has ever had, and
+	// defOrd is its inverse: the ordinal the booster's per-request
+	// tables are indexed by. Append-only, maintained with byDoc.
+	defs   []*core.Definition
+	defOrd map[*core.Definition]int
 	// mlog, when installed, receives one record per mutation, appended
 	// under the lock serializing that mutation (see partition.go).
 	mlog MutationLog
@@ -138,20 +148,6 @@ type Engine struct {
 	// pruned search path's score-multiplier ceiling.
 	maxUtility float64
 
-	// docsVersion counts the mutations that change the global-doc-id ↔
-	// instance mapping (AddInstance, RemoveInstance, Compact; feedback
-	// only touches utilities, which byDoc reads through the instance
-	// pointer). Written under the write lock, read under either.
-	docsVersion uint64
-	// docCache lazily materializes the mapping as a dense slice for the
-	// batch path, which resolves instances per candidate document and
-	// would otherwise pay a string-map lookup each time. Rebuilt on
-	// version mismatch under its own lock (readers hold only e.mu.RLock).
-	docCache struct {
-		mu      sync.Mutex
-		version uint64
-		byDoc   []*core.Instance
-	}
 	// affCache holds the per-definition state typeAffinity consults for
 	// every query — normalized keyword vocabulary, covered tables,
 	// rollup flag — which is derived entirely from the (effectively
@@ -167,7 +163,7 @@ type Engine struct {
 type defAffinity struct {
 	d      *core.Definition
 	kw     map[string]bool // normalized keyword vocabulary
-	tables map[string]bool // covered tables (== defTables entry)
+	tables map[string]bool // covered tables
 	rollup bool            // has sections: prefers underspecified queries
 }
 
@@ -191,7 +187,6 @@ func NewEngine(cat *core.Catalog, opts Options) (*Engine, error) {
 		index:     ir.NewShardedIndex(opts.Shards),
 		instances: make(map[string]*core.Instance),
 		opts:      opts,
-		defTables: make(map[string]map[string]bool),
 	}
 	insts, err := materializeParallel(cat, workers)
 	if err != nil {
@@ -218,11 +213,9 @@ func NewEngine(cat *core.Catalog, opts Options) (*Engine, error) {
 		if _, err := e.index.AddAnalyzed(inst.ID(), analyzed[i]); err != nil {
 			return nil, err
 		}
+		e.appendDoc(inst)
 		e.noteUtility(inst.Utility)
 		e.indexLabel(inst)
-	}
-	for _, d := range cat.Definitions() {
-		e.defTables[d.Name] = definitionTables(d)
 	}
 	e.SetAutoCompact(opts.CompactRatio)
 	return e, nil
@@ -424,7 +417,7 @@ func (e *Engine) searchLocked(ctx context.Context, req Request, set ir.ShardSet)
 	}
 	if !pruned {
 		hits := e.index.SearchSet(e.retrievalScorer(), req.Query, 0, set)
-		results = e.collectResults(hits, nil, allowed, affinity, anchors)
+		results = e.collectResults(hits, allowed, affinity, anchors)
 		sortResults(results)
 		total = len(results)
 	}
@@ -453,16 +446,21 @@ func (e *Engine) retrievalScorer() ir.Scorer {
 	return e.opts.Scorer
 }
 
-// canPrune reports whether the request can take the pruned top-k path.
-// Besides needing a bounded page and a prunable scorer, every score
-// multiplier must be monotone in the quantity it scales (non-negative
-// boosts, utility influence within [0,1]) — otherwise the multiplier
-// ceiling the early-termination bound relies on would not be a ceiling.
+// canPrune reports whether the request can take the pruned top-k path:
+// a bounded page, a prunable scorer, and monotone score multipliers.
 func (e *Engine) canPrune(req Request) bool {
 	return req.K > 0 &&
 		!e.opts.ExhaustiveScorer &&
 		ir.Prunable(e.opts.Scorer) &&
-		e.opts.TypeBoost >= 0 &&
+		e.boostsMonotone()
+}
+
+// boostsMonotone reports whether every score multiplier is monotone
+// non-decreasing and non-negative in the quantity it scales
+// (non-negative boosts, utility influence within [0,1]) — otherwise the
+// multiplier ceiling the pruning bounds rely on would not be a ceiling.
+func (e *Engine) boostsMonotone() bool {
+	return e.opts.TypeBoost >= 0 &&
 		e.opts.UtilityInfluence >= 0 && e.opts.UtilityInfluence <= 1 &&
 		e.opts.AnchorBoost >= 0
 }
@@ -493,16 +491,11 @@ func (e *Engine) resultFor(inst *core.Instance, irScore float64, affinity map[st
 }
 
 // collectResults converts IR hits to scored results, applying the
-// definition/anchor-type filter and the per-instance score multipliers;
-// instances in exclude are skipped (the pruned path scores the
-// anchor-labeled ones separately and exactly).
-func (e *Engine) collectResults(hits []ir.Hit, exclude map[string]bool, allowed map[string]bool, affinity map[string]float64, anchors map[string]bool) []Result {
+// definition/anchor-type filter and the per-instance score multipliers.
+func (e *Engine) collectResults(hits []ir.Hit, allowed map[string]bool, affinity map[string]float64, anchors map[string]bool) []Result {
 	results := make([]Result, 0, len(hits))
 	for _, h := range hits {
-		if exclude != nil && exclude[h.Name] {
-			continue
-		}
-		inst := e.instances[h.Name]
+		inst := e.byDoc[h.Doc]
 		if inst == nil {
 			continue
 		}
@@ -538,139 +531,196 @@ func (e *Engine) collectResults(hits []ir.Hit, exclude map[string]bool, allowed 
 func (e *Engine) prunedPage(req Request, set ir.ShardSet, allowed map[string]bool, affinity map[string]float64, anchors map[string]bool) ([]Result, int, bool) {
 	scorer := e.opts.Scorer
 	terms := ir.Tokenize(req.Query)
-	// With no filter every candidate counts: every index document has an
-	// instance (the two are only ever updated together under the write
-	// lock), so the per-candidate instance lookup is skipped entirely.
-	var allow func(name string) bool
-	if allowed != nil {
-		allow = func(name string) bool {
-			inst := e.instances[name]
-			return inst != nil && allowed[inst.Def.Name]
-		}
-	}
-	total := e.index.CountCandidatesSet(terms, allow, set)
+	anchorDocs := e.anchorDocs(anchors)
+	b := e.newBooster([]queryCtx{{allowed: allowed, affinity: affinity, anchorDocs: anchorDocs}})
+	total := e.index.CountCandidates(terms, b, set)
 
-	// Exact scoring of the anchor-labeled instances.
-	var exclude map[string]bool
+	// Exact scoring of the anchor-labeled instances. With a shard
+	// subset, anchor instances living on excluded shards are absent
+	// from the score map and drop out.
 	var anchorResults []Result
-	if len(anchors) > 0 {
-		var anchorInsts []*core.Instance
-		for label := range anchors {
-			for _, inst := range e.byLabel[label] {
-				anchorInsts = append(anchorInsts, inst)
-			}
+	if len(anchorDocs) > 0 {
+		names := make([]string, len(anchorDocs))
+		for i, g := range anchorDocs {
+			names[i] = e.index.Name(g)
 		}
-		if len(anchorInsts) > 0 {
-			names := make([]string, len(anchorInsts))
-			exclude = make(map[string]bool, len(anchorInsts))
-			for i, inst := range anchorInsts {
-				names[i] = inst.ID()
-				exclude[names[i]] = true
+		scores, ok := e.index.ScoreNamedSet(scorer, terms, names, set)
+		if !ok {
+			return nil, 0, false
+		}
+		for i, g := range anchorDocs {
+			irScore, contained := scores[names[i]]
+			if !contained {
+				continue // no query term: the exhaustive scorer omits it too
 			}
-			// With a shard subset, anchor instances living on excluded
-			// shards are absent from the score map and drop out below —
-			// their exclude entries are harmless (those names never
-			// surface from subset retrieval anyway).
-			scores, ok := e.index.ScoreNamedSet(scorer, terms, names, set)
-			if !ok {
-				return nil, 0, false
+			inst := e.byDoc[g]
+			if allowed != nil && !allowed[inst.Def.Name] {
+				continue
 			}
-			for _, inst := range anchorInsts {
-				irScore, contained := scores[inst.ID()]
-				if !contained {
-					continue // no query term: the exhaustive scorer omits it too
-				}
-				if allowed != nil && !allowed[inst.Def.Name] {
-					continue
-				}
-				anchorResults = append(anchorResults, e.resultFor(inst, irScore, affinity, anchors))
-			}
+			anchorResults = append(anchorResults, e.resultFor(inst, irScore, affinity, anchors))
 		}
 	}
 
 	// Boosted retrieval: the index ranks by final score directly, with
 	// the type/utility multipliers folded in per document and the
 	// remaining multiplier ceiling (anchor-boosted documents are all in
-	// anchorResults, so their ×1 boost drops out) driving the pruning
-	// bounds. The top `target` non-anchor results plus the exact anchor
-	// results are a superset of the true page.
+	// anchorResults and skipped here, so their ×1 boost drops out)
+	// driving the pruning bounds. The top `target` non-anchor results
+	// plus the exact anchor results are a superset of the true page.
 	target := req.Offset + req.K
-	maxAff := 0.0
-	for _, a := range affinity {
-		if a > maxAff {
-			maxAff = a
-		}
-	}
-	typeHi := 1 + e.opts.TypeBoost*maxAff
-	blendHi := 1 - e.opts.UtilityInfluence + e.opts.UtilityInfluence*e.maxUtility
-	booster := &pageBooster{e: e, allowed: allowed, exclude: exclude, affinity: affinity}
-	hits, ok := e.index.SearchBoostedSet(scorer, req.Query, target, booster, typeHi*blendHi, set)
+	hits, ok := e.index.SearchBoostedSet(scorer, req.Query, target, b, b.ceil[0], anchorDocs, set)
 	if !ok {
 		return nil, 0, false
 	}
 	results := make([]Result, 0, len(hits)+len(anchorResults))
 	for _, h := range hits {
-		results = append(results, e.resultFor(e.instances[h.Name], h.IRScore, affinity, anchors))
+		results = append(results, e.resultFor(e.byDoc[h.Doc], h.IRScore, affinity, anchors))
 	}
 	results = append(results, anchorResults...)
 	sortResults(results)
 	return results, total, true
 }
 
-// pageBooster adapts the engine's score multipliers to ir.Booster. Its
-// Final must reproduce the exhaustive path's multiplier chain bit for
-// bit for non-anchored documents: ir·type·utility (the trailing ×1
-// anchor factor of resultFor is exact in floats and drops away). It is
-// called concurrently from shard goroutines; it only reads state the
-// engine's read lock protects.
-type pageBooster struct {
-	e        *Engine
-	allowed  map[string]bool
-	exclude  map[string]bool
-	affinity map[string]float64
+// anchorDocs resolves the instances whose label is an entity the query
+// names (anchors) to sorted global doc ids: an indexed instance
+// satisfies anchors[inst.Label()] exactly when its doc id is in the
+// result (byLabel and the index are maintained together under the
+// write lock). Anchor sets are tiny, so the booster and the kernels
+// probe them per document instead of hashing a label.
+func (e *Engine) anchorDocs(anchors map[string]bool) []int {
+	var docs []int
+	for label := range anchors {
+		for id := range e.byLabel[label] {
+			if g, ok := e.index.ID(id); ok {
+				docs = append(docs, g)
+			}
+		}
+	}
+	sort.Ints(docs)
+	return docs
 }
 
-// Include implements ir.Booster.
-func (b *pageBooster) Include(name string) bool {
-	if b.exclude != nil && b.exclude[name] {
-		return false
+// queryCtx is one query's resolved preamble — the state searchLocked
+// computes before retrieval — as the booster and the batch path read
+// it. anchorDocs is anchors resolved by anchorDocs.
+type queryCtx struct {
+	allowed    map[string]bool
+	affinity   map[string]float64
+	anchors    map[string]bool
+	anchorDocs []int
+	sg         segment.Segmentation
+}
+
+// booster is the engine's ir.Booster for one request's queries — one
+// for a single search, n for a batch — keyed by global doc id through
+// the byDoc column. Final computes the score by the identical float
+// expression resultFor uses (same sub-expressions, same multiplication
+// order), with the anchor decision probed by doc id instead of by
+// label. The per-query filter decisions and type factors are
+// precomputed per definition ordinal into flat tables, so neither
+// method hashes a string. Called concurrently from shard goroutines; it
+// only reads state the engine's read lock protects plus its own
+// immutable tables.
+type booster struct {
+	e     *Engine
+	qcs   []queryCtx
+	words int // uint64 words per definition in counts
+	// filtered reports whether any query has a filter; without one,
+	// every definition's counts row is the same.
+	filtered bool
+	// counts[ord*words+w] bit j: query w*64+j counts documents of the
+	// definition with ordinal ord.
+	counts []uint64
+	// typeFactor[ord*len(qcs)+q] is query q's type factor for documents
+	// of definition ord: 1 + TypeBoost*affinity[def.Name].
+	typeFactor []float64
+	// ceil[q] bounds Final/irScore for query q's non-anchored documents
+	// (0 when the multipliers are not monotone: no bound exists).
+	ceil []float64
+}
+
+// newBooster builds the booster for the given queries under the read
+// lock.
+func (e *Engine) newBooster(qcs []queryCtx) *booster {
+	n, words := len(qcs), (len(qcs)+63)/64
+	b := &booster{
+		e:          e,
+		qcs:        qcs,
+		words:      words,
+		counts:     make([]uint64, len(e.defs)*words),
+		typeFactor: make([]float64, len(e.defs)*n),
+		ceil:       make([]float64, n),
 	}
-	inst := b.e.instances[name]
+	for q := range qcs {
+		b.filtered = b.filtered || qcs[q].allowed != nil
+	}
+	for ord, d := range e.defs {
+		for q := range qcs {
+			if qcs[q].allowed == nil || qcs[q].allowed[d.Name] {
+				b.counts[ord*words+q/64] |= 1 << uint(q%64)
+			}
+			b.typeFactor[ord*n+q] = 1 + e.opts.TypeBoost*qcs[q].affinity[d.Name]
+		}
+	}
+	if e.boostsMonotone() {
+		// The ceiling is resultFor's expression at the largest type
+		// affinity and the engine's monotone utility bound, anchor boost
+		// excluded: anchored documents are skipped or exempt.
+		blendHi := 1 - e.opts.UtilityInfluence + e.opts.UtilityInfluence*e.maxUtility
+		for q := range qcs {
+			maxAff := 0.0
+			for _, a := range qcs[q].affinity {
+				if a > maxAff {
+					maxAff = a
+				}
+			}
+			b.ceil[q] = (1 + e.opts.TypeBoost*maxAff) * blendHi
+		}
+	}
+	return b
+}
+
+// Counts implements ir.Booster.
+func (b *booster) Counts(g, base int) uint64 {
+	inst := b.e.byDoc[g]
 	if inst == nil {
-		return false
+		return 0
 	}
-	return b.allowed == nil || b.allowed[inst.Def.Name]
+	ord := 0
+	if b.filtered {
+		ord = b.e.defOrd[inst.Def]
+	}
+	return b.counts[ord*b.words+base/64]
 }
 
 // Final implements ir.Booster.
-func (b *pageBooster) Final(name string, irScore float64) float64 {
-	inst := b.e.instances[name]
-	typeFactor := 1 + b.e.opts.TypeBoost*b.affinity[inst.Def.Name]
+func (b *booster) Final(q, g int, irScore float64) float64 {
+	inst := b.e.byDoc[g]
+	typeFactor := b.typeFactor[b.e.defOrd[inst.Def]*len(b.qcs)+q]
 	blend := 1 - b.e.opts.UtilityInfluence + b.e.opts.UtilityInfluence*inst.Utility
-	return irScore * typeFactor * blend
+	boost := 1.0
+	if _, anchored := slices.BinarySearch(b.qcs[q].anchorDocs, g); anchored {
+		boost = 1 + b.e.opts.AnchorBoost
+	}
+	return irScore * typeFactor * blend * boost
 }
 
-// docInstances returns the dense global-doc-id → instance view of the
-// engine, rebuilding the cached slice when a mutation has invalidated
-// it. Callers hold the engine read lock; the cache's own lock
-// serializes concurrent rebuilds. Tombstoned slots hold nil.
-func (e *Engine) docInstances() []*core.Instance {
-	v := e.docsVersion
-	c := &e.docCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.byDoc != nil && c.version == v {
-		return c.byDoc
+// appendDoc extends the doc-id-keyed columns by the index slot just
+// assigned to inst (nil for a tombstone), registering its definition's
+// ordinal on first sight. Callers hold the write lock (or are inside
+// single-threaded construction).
+func (e *Engine) appendDoc(inst *core.Instance) {
+	e.byDoc = append(e.byDoc, inst)
+	if inst == nil {
+		return
 	}
-	byDoc := make([]*core.Instance, e.index.Slots())
-	for g := range byDoc {
-		if name := e.index.Name(g); name != "" {
-			byDoc[g] = e.instances[name]
-		}
+	if e.defOrd == nil {
+		e.defOrd = make(map[*core.Definition]int)
 	}
-	c.version = v
-	c.byDoc = byDoc
-	return byDoc
+	if _, known := e.defOrd[inst.Def]; !known {
+		e.defOrd[inst.Def] = len(e.defs)
+		e.defs = append(e.defs, inst.Def)
+	}
 }
 
 // noteUtility folds one observed instance utility into the monotone

@@ -95,12 +95,9 @@ func (e *Engine) AddInstance(inst *core.Instance) error {
 		return err
 	}
 	e.instances[id] = inst
-	e.docsVersion++
+	e.appendDoc(inst)
 	e.noteUtility(inst.Utility)
 	e.indexLabel(inst)
-	if _, known := e.defTables[inst.Def.Name]; !known {
-		e.defTables[inst.Def.Name] = definitionTables(inst.Def)
-	}
 	return nil
 }
 
@@ -138,12 +135,13 @@ func (e *Engine) removeInstance(id string) error {
 			return fmt.Errorf("search: logging remove: %w", err)
 		}
 	}
+	g, _ := e.index.ID(id)
 	if err := e.index.Remove(id); err != nil {
 		return err
 	}
+	e.byDoc[g] = nil
 	e.dropLabel(e.instances[id])
 	delete(e.instances, id)
-	e.docsVersion++
 	return nil
 }
 

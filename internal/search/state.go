@@ -188,7 +188,6 @@ func RestoreEngine(db *relational.Database, st *EngineState) (*Engine, error) {
 		index:     ir.NewShardedIndex(st.Shards),
 		instances: make(map[string]*core.Instance, len(st.Docs)),
 		opts:      opts,
-		defTables: make(map[string]map[string]bool, cat.Len()),
 	}
 	// States carrying slot and postings information (format v2) are
 	// restored slot-exactly: tombstones of removed documents are
@@ -228,6 +227,7 @@ func RestoreEngine(db *relational.Database, st *EngineState) (*Engine, error) {
 			}
 			for ; nextSlot < d.Slot; nextSlot++ {
 				e.index.AddTombstone()
+				e.appendDoc(nil)
 			}
 			nextSlot++
 			if _, err := e.index.AddAnalyzedDocOnly(id, d.Terms); err != nil {
@@ -237,12 +237,14 @@ func RestoreEngine(db *relational.Database, st *EngineState) (*Engine, error) {
 			return nil, fmt.Errorf("search: restoring doc %d: %w", i, err)
 		}
 		e.instances[id] = inst
+		e.appendDoc(inst)
 		e.noteUtility(inst.Utility)
 		e.indexLabel(inst)
 	}
 	if slotExact {
 		for ; nextSlot < st.Slots; nextSlot++ {
 			e.index.AddTombstone()
+			e.appendDoc(nil)
 		}
 		for i, lists := range st.Postings {
 			var err error
@@ -263,9 +265,6 @@ func RestoreEngine(db *relational.Database, st *EngineState) (*Engine, error) {
 	// engine, and its snapshot must round-trip (searches simply return
 	// nothing). Only NewEngine insists on a non-empty catalog yield.
 	e.index.ForceTotalLen(st.IndexTotalLen)
-	for _, d := range cat.Definitions() {
-		e.defTables[d.Name] = definitionTables(d)
-	}
 	e.SetAutoCompact(opts.CompactRatio)
 	return e, nil
 }

@@ -77,7 +77,9 @@ cleanup() {
     [ -n "${CLOGS:-}" ] && rm -rf "$CLOGS"
     [ -n "${LGLOGS:-}" ] && rm -rf "$LGLOGS"
     [ -n "${EVBIN:-}" ] && rm -f "$EVBIN"
-    [ -n "${EVDIR:-}" ] && rm -rf "$EVDIR"
+    # dash exits with the trap's last status: end on a command that
+    # succeeds, so the script's own exit status stands.
+    if [ -n "${EVDIR:-}" ]; then rm -rf "$EVDIR"; fi
 }
 trap cleanup EXIT INT TERM
 
